@@ -10,7 +10,7 @@ security levels (higher is better) with subclass arrows::
 Definition 6 ("appropriate encryption class") selects, among the classes that
 ensure a given equivalence notion, one with the *highest possible security*
 according to this taxonomy.  :class:`EncryptionTaxonomy` encodes the levels
-and subclass edges (as a :mod:`networkx` DiGraph) and provides exactly that
+and subclass edges (as a transitively closed relation) and provides exactly that
 selection primitive, plus the comparisons the security-assessment step and
 the experiments need.
 """
@@ -18,8 +18,6 @@ the experiments need.
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import networkx as nx
 
 from repro.crypto.base import EncryptionClass
 from repro.exceptions import TaxonomyError
@@ -70,14 +68,16 @@ class EncryptionTaxonomy:
     ) -> None:
         self._levels = dict(SECURITY_LEVELS if levels is None else levels)
         edges = tuple(SUBCLASS_EDGES if subclass_edges is None else subclass_edges)
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._levels)
+        parents: dict[EncryptionClass, set[EncryptionClass]] = {c: set() for c in self._levels}
         for child, parent in edges:
             if child not in self._levels or parent not in self._levels:
                 raise TaxonomyError(f"subclass edge {child} -> {parent} uses unknown class")
-            self._graph.add_edge(child, parent)
-        if not nx.is_directed_acyclic_graph(self._graph):
+            parents[child].add(parent)
+        strictly_above = {c: _reachable(parents, c) for c in parents}
+        if any(c in above for c, above in strictly_above.items()):
             raise TaxonomyError("subclass relation must be acyclic")
+        #: Reflexive-transitive closure: each class's superclasses, itself included.
+        self._above = {c: above | {c} for c, above in strictly_above.items()}
 
     # -- structure ----------------------------------------------------------- #
 
@@ -97,15 +97,21 @@ class EncryptionTaxonomy:
         """True if ``child`` is (transitively) a subclass/usage mode of ``parent``."""
         if child == parent:
             return True
-        return nx.has_path(self._graph, child, parent)
+        return parent in self.superclasses(child)
 
     def superclasses(self, encryption_class: EncryptionClass) -> frozenset[EncryptionClass]:
         """All classes that ``encryption_class`` is a subclass of (including itself)."""
-        return frozenset({encryption_class} | nx.descendants(self._graph, encryption_class))
+        try:
+            return self._above[encryption_class]
+        except KeyError:
+            raise TaxonomyError(f"unknown encryption class {encryption_class}") from None
 
     def subclasses(self, encryption_class: EncryptionClass) -> frozenset[EncryptionClass]:
         """All subclasses of ``encryption_class`` (including itself)."""
-        return frozenset({encryption_class} | nx.ancestors(self._graph, encryption_class))
+        self.superclasses(encryption_class)  # rejects an unknown class
+        return frozenset(
+            other for other, above in self._above.items() if encryption_class in above
+        )
 
     # -- comparisons ---------------------------------------------------------- #
 
@@ -174,6 +180,23 @@ class EncryptionTaxonomy:
             f"{child.value} -> {parent.value}" for child, parent in SUBCLASS_EDGES
         ))
         return "\n".join(lines)
+
+
+def _reachable(
+    parents: dict[EncryptionClass, set[EncryptionClass]], start: EncryptionClass
+) -> frozenset[EncryptionClass]:
+    """Every class reachable from ``start`` along subclass edges.
+
+    ``start`` itself is included only when the edges form a cycle through it.
+    """
+    seen: set[EncryptionClass] = set()
+    stack = list(parents[start])
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(parents[node])
+    return frozenset(seen)
 
 
 _DEFAULT = EncryptionTaxonomy()

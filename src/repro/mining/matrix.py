@@ -37,7 +37,7 @@ from repro.exceptions import MiningError
 
 
 def check_distance_matrix(matrix: np.ndarray, *, tolerance: float = 1e-9) -> np.ndarray:
-    """Validate a distance matrix: square, symmetric, zero diagonal, non-negative.
+    """Validate a distance matrix: square, finite, symmetric, zero diagonal, non-negative.
 
     Returns the matrix as a float array; raises :class:`MiningError` on any
     violation.  Every mining entry point funnels its input through this check
@@ -49,6 +49,8 @@ def check_distance_matrix(matrix: np.ndarray, *, tolerance: float = 1e-9) -> np.
         raise MiningError(f"distance matrix must be square, got shape {array.shape}")
     if array.shape[0] == 0:
         raise MiningError("distance matrix must contain at least one item")
+    if not np.all(np.isfinite(array)):
+        raise MiningError("distance matrix contains non-finite entries")
     if np.any(array < -tolerance):
         raise MiningError("distance matrix contains negative entries")
     if np.any(np.abs(np.diagonal(array)) > tolerance):
@@ -103,6 +105,8 @@ class CondensedDistanceMatrix:
                 f"condensed form for {self.n} items must have "
                 f"{condensed_length(self.n)} entries, got {array.shape[0]}"
             )
+        if not np.all(np.isfinite(array)):
+            raise MiningError("distance matrix contains non-finite entries")
         if array.size and float(array.min()) < -1e-9:
             raise MiningError("distance matrix contains negative entries")
         array = array.copy() if array is self.values else array

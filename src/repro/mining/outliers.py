@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.exceptions import MiningError
 from repro.mining.matrix import pairwise_view
+from repro.mining.selection import largest_indices, smallest_indices
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,10 @@ def distance_based_outliers(
 def top_n_outliers(distance_matrix: np.ndarray, *, n_outliers: int, k: int = 3) -> tuple[int, ...]:
     """Rank items by their distance to the k-th nearest neighbour, return the top n.
 
-    Ties are broken by smaller index so the ranking is deterministic.
-    Accepts the square form or a condensed
+    Ties are broken by smaller index so the ranking is deterministic.  Both
+    the k-th-neighbour distance and the ``(-score, index)`` ranking come
+    from the partial selectors of :mod:`repro.mining.selection`.  Accepts
+    the square form or a condensed
     :class:`~repro.mining.matrix.CondensedDistanceMatrix`.
     """
     matrix = pairwise_view(distance_matrix)
@@ -82,9 +85,9 @@ def top_n_outliers(distance_matrix: np.ndarray, *, n_outliers: int, k: int = 3) 
         raise MiningError(f"n_outliers must be between 1 and {n}")
     if not 1 <= k < n:
         raise MiningError(f"k must be between 1 and {n - 1}")
-    scores = []
+    scores = np.empty(n, dtype=float)
     for i in range(n):
-        others = np.sort(np.delete(matrix.row(i), i))
-        scores.append(float(others[k - 1]))
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    return tuple(order[:n_outliers])
+        row = matrix.row(i).copy()
+        row[i] = np.inf  # validated distances are finite: excludes the item itself
+        scores[i] = row[smallest_indices(row, k)[-1]]
+    return tuple(largest_indices(scores, n_outliers).tolist())

@@ -11,7 +11,9 @@ value, sort only that (small) candidate set under the documented tie-break,
 and truncate.  The result is bit-for-bit equal to fully sorting the input —
 tested against the sort-based reference — at partial-selection cost.
 
-Used by :class:`~repro.mining.incremental.IncrementalDistanceMatrix` (kNN
+Used by the exact kNN lists (:func:`~repro.mining.knn.k_nearest_neighbors`)
+and outlier ranking (:func:`~repro.mining.outliers.top_n_outliers`), by
+:class:`~repro.mining.incremental.IncrementalDistanceMatrix` (kNN
 maintenance and the memoized ``top_outliers`` ranking) and by the pivot
 index layer (:mod:`repro.mining.approx`).
 """

@@ -72,6 +72,23 @@ class TestCondensedDistanceMatrix:
         with pytest.raises(MiningError):
             CondensedDistanceMatrix(values=np.zeros(0), n=0)  # no items
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("form", ["square", "condensed"])
+    def test_non_finite_entries_rejected(self, form, bad):
+        # NaN slips past every ordered comparison, and +inf is the kNN
+        # self-exclusion sentinel, so both must be refused at the boundary.
+        values = np.array([0.5, bad, 0.2])
+        square = np.zeros((3, 3))
+        square[np.triu_indices(3, k=1)] = values
+        square = square + square.T
+        with pytest.raises(MiningError, match="non-finite"):
+            if form == "square":
+                pairwise_view(square)
+            else:
+                CondensedDistanceMatrix(values=values, n=3)
+        with pytest.raises(MiningError, match="non-finite"):
+            k_nearest_neighbors(square if form == "square" else values, 0, k=1)
+
     def test_diagonal_not_stored(self, condensed):
         assert condensed.value(3, 3) == 0.0
         with pytest.raises(MiningError):

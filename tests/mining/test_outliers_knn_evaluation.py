@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.dpe import LogContext
+from repro.core.measures import TokenDistance
 from repro.exceptions import MiningError
 from repro.mining.evaluation import (
     adjusted_rand_index,
@@ -12,13 +16,38 @@ from repro.mining.evaluation import (
     confusion_counts,
     normalized_mutual_information,
 )
-from repro.mining.knn import k_nearest_neighbors, knn_classify
+from repro.mining.knn import (
+    k_nearest_neighbors,
+    k_nearest_neighbors_reference,
+    knn_classify,
+)
+from repro.mining.matrix import CondensedDistanceMatrix
 from repro.mining.outliers import distance_based_outliers, top_n_outliers
+from repro.workloads.generator import QueryLogGenerator, WorkloadMix
 
 
 def line_matrix(points: list[float]) -> np.ndarray:
     array = np.array(points, dtype=float)
     return np.abs(array[:, None] - array[None, :])
+
+
+@st.composite
+def quantised_matrices(draw) -> CondensedDistanceMatrix:
+    """Condensed matrices whose distances take at most four distinct values."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    grid = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+    levels = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4, unique=True))
+    values = draw(
+        st.lists(st.sampled_from(levels), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    return CondensedDistanceMatrix(values=np.array(values, dtype=float), n=n)
+
+
+def top_n_outliers_by_sort(square: np.ndarray, *, n_outliers: int, k: int) -> tuple[int, ...]:
+    """The full-sort ranking: k-th neighbour distance, ordered by (-score, index)."""
+    n = square.shape[0]
+    scores = [float(np.sort(np.delete(square[i], i))[k - 1]) for i in range(n)]
+    return tuple(sorted(range(n), key=lambda i: (-scores[i], i))[:n_outliers])
 
 
 class TestDistanceBasedOutliers:
@@ -63,6 +92,24 @@ class TestTopNOutliers:
         assert set(top) == {3, 4}
         assert top[0] == 4  # farther point ranks first
 
+    def test_ranking_under_ties_orders_by_index(self):
+        # Items 1, 3 and 4 share the largest 2nd-neighbour distance; the
+        # ranking keeps them in index order, then the tied rest likewise.
+        matrix = line_matrix([0.0, 2.0, 0.0, 4.0, 6.0, 0.0])
+        matrix = np.minimum(matrix, 2.0)
+        assert top_n_outliers(matrix, n_outliers=6, k=2) == (1, 3, 4, 0, 2, 5)
+        assert top_n_outliers(matrix, n_outliers=2, k=2) == (1, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(condensed=quantised_matrices())
+    def test_tie_heavy_ranking_matches_full_sort(self, condensed):
+        square = condensed.to_square()
+        for k in range(1, condensed.n):
+            for n_outliers in range(1, condensed.n + 1):
+                expected = top_n_outliers_by_sort(square, n_outliers=n_outliers, k=k)
+                assert top_n_outliers(square, n_outliers=n_outliers, k=k) == expected
+                assert top_n_outliers(condensed, n_outliers=n_outliers, k=k) == expected
+
     def test_validation(self):
         matrix = line_matrix([0.0, 1.0, 2.0])
         with pytest.raises(MiningError):
@@ -89,10 +136,35 @@ class TestKnn:
 
     def test_validation(self):
         matrix = line_matrix([0.0, 1.0, 2.0])
-        with pytest.raises(MiningError):
-            k_nearest_neighbors(matrix, 5, k=1)
-        with pytest.raises(MiningError):
-            k_nearest_neighbors(matrix, 0, k=3)
+        for knn in (k_nearest_neighbors, k_nearest_neighbors_reference):
+            with pytest.raises(MiningError):
+                knn(matrix, 5, k=1)
+            with pytest.raises(MiningError):
+                knn(matrix, 0, k=3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(condensed=quantised_matrices())
+    def test_selection_matches_sort_reference_under_ties(self, condensed):
+        square = condensed.to_square()
+        for form in (square, condensed):
+            for index in range(condensed.n):
+                for k in range(1, condensed.n):
+                    assert k_nearest_neighbors(form, index, k=k) == (
+                        k_nearest_neighbors_reference(form, index, k=k)
+                    ), (index, k)
+
+    def test_selection_matches_sort_reference_on_token_log(self, webshop):
+        log = QueryLogGenerator(webshop, WorkloadMix(), seed=3).generate(300)
+        matrix = TokenDistance().condensed_distance_matrix(LogContext(log=log))
+        # Token distances are Jaccard ratios of small sets: far fewer
+        # distinct values than pairs, so ties at the k-th distance are the
+        # normal case here.
+        assert np.unique(matrix.values).size * 20 < matrix.values.size
+        for index in range(matrix.n):
+            for k in (1, 3, 10, 50, matrix.n - 1):
+                assert k_nearest_neighbors(matrix, index, k=k) == (
+                    k_nearest_neighbors_reference(matrix, index, k=k)
+                ), (index, k)
 
     def test_classification_majority(self):
         matrix = line_matrix([0.0, 0.1, 0.2, 10.0, 10.1])
