@@ -857,7 +857,15 @@ class CryptDBProxy:
         if isinstance(expression, ColumnRef):
             column = self._resolve_plain_column(expression, bindings)
             self._verify_result_cell(column, Onion.EQ, value)
-            return column.encryption.det.decrypt(value)
+            plain = column.encryption.det.decrypt(value)
+            # The EQ onion folds integral floats to int (normalize_equality_value).
+            if (
+                column.column_type is ColumnType.REAL
+                and isinstance(plain, int)
+                and not isinstance(plain, bool)
+            ):
+                return float(plain)
+            return plain
         if isinstance(expression, AggregateCall):
             if isinstance(expression.argument, ColumnRef):
                 column = self._resolve_plain_column(expression.argument, bindings)

@@ -15,6 +15,13 @@ are provided:
 * :meth:`DeterministicScheme.encrypt_identifier` — ``enc_<hex>`` ciphertext
   that is a valid SQL identifier, used for relation and attribute names
   (EncRel / EncAttr in the paper's high-level scheme).
+
+Both encodings share one raw encryption, and every instance memoizes it:
+logs and tables repeat the same names and constants many times (a
+2000-query log makes about ten DET calls per distinct plaintext), and a
+repeat of a deterministic encryption can only recompute the same bytes.
+:meth:`DeterministicScheme.encrypt_reference` is the uncached construction,
+kept as the equality oracle of the memo.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from repro.exceptions import DecryptionError, KeyError_
 
 _VALUE_PREFIX = "det:"
 _IDENTIFIER_PREFIX = "enc_"
+#: Entries an instance's raw-ciphertext memo holds before it is flushed
+#: (about 150 bytes each for short plaintexts).
+_MEMO_MAX_ENTRIES = 16_384
 
 
 class DeterministicScheme(EncryptionScheme):
@@ -49,11 +59,21 @@ class DeterministicScheme(EncryptionScheme):
             raise KeyError_("DET key must be at least 16 bytes")
         self._siv_key = derive_key(key, "det-siv", 32)
         self._enc_key = derive_key(key, "det-enc", 32)
+        # Encoded plaintext -> siv || body.  No lock: every value is a pure
+        # function of (key, plaintext), so two threads racing on one entry
+        # can only store identical bytes; a flush racing a lookup costs a
+        # recomputation, and racing writers overshoot the bound by at most
+        # one entry each.
+        self._memo: dict[bytes, bytes] = {}
 
     # -- value ciphertexts ------------------------------------------------ #
 
     def encrypt(self, value: SqlValue) -> str:
         return _VALUE_PREFIX + self._encrypt_raw(encode_value(value)).hex()
+
+    def encrypt_reference(self, value: SqlValue) -> str:
+        """:meth:`encrypt` without the memo (equality oracle)."""
+        return _VALUE_PREFIX + self._encrypt_raw_uncached(encode_value(value)).hex()
 
     def decrypt(self, ciphertext: object) -> SqlValue:
         if not isinstance(ciphertext, str) or not ciphertext.startswith(_VALUE_PREFIX):
@@ -97,6 +117,15 @@ class DeterministicScheme(EncryptionScheme):
     # -- internals --------------------------------------------------------- #
 
     def _encrypt_raw(self, plaintext: bytes) -> bytes:
+        raw = self._memo.get(plaintext)
+        if raw is None:
+            raw = self._encrypt_raw_uncached(plaintext)
+            if len(self._memo) >= _MEMO_MAX_ENTRIES:
+                self._memo.clear()
+            self._memo[plaintext] = raw
+        return raw
+
+    def _encrypt_raw_uncached(self, plaintext: bytes) -> bytes:
         siv = prf(self._siv_key, "siv", plaintext)[:16]
         body = aes_ctr_transform(self._enc_key, siv, plaintext)
         return siv + body

@@ -8,11 +8,20 @@ IN, LIKE, IS NULL), GROUP BY / HAVING, ORDER BY and LIMIT.
 The lexer is deliberately independent of the parser so that the *token-based
 query-string distance* (Definition 3 in the paper) can be computed on raw
 token streams, exactly as the measure prescribes.
+
+Two lexers agree token for token.  :func:`tokenize` runs one precompiled
+regular expression over ASCII input (every encrypted query is ASCII: DET
+ciphertexts are hex); :func:`tokenize_reference` is the original
+character-by-character loop, kept as the oracle.  The fast path hands any
+input it cannot decide to the oracle: non-ASCII text (whose Unicode
+``isalpha``/``isalnum``/``isspace`` classes only the loop implements) and
+every malformed input, so errors carry the oracle's message and position.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.exceptions import SqlSyntaxError
@@ -113,8 +122,90 @@ class Token:
         return f"{self.type.value}:{self.value}"
 
 
+#: The scanner: optional whitespace and semicolons, then one token.  Each
+#: alternative is named after the :class:`TokenType` value it produces
+#: (``word`` is a keyword or identifier, ``quoted`` a quoted identifier);
+#: ``error`` catches any character no token can start with, and ``\Z`` the
+#: trailing whitespace.  The closing quote of a string must not be followed
+#: by another quote, and an integer by a dot or digit, so a literal that the
+#: reference loop rejects never matches a shorter token here.
+_SCANNER = re.compile(
+    r"""
+    [\t\n\x0b\x0c\r\x1c-\x1f ;]*
+    (?:
+        '(?P<string>(?:[^']|'')*)'(?!')
+      | (?P<number>[0-9]+(?:\.[0-9]+|(?![.0-9]))|\.[0-9]+)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | "(?P<quoted>[^"]*)"
+      | (?P<operator><>|!=|<=|>=|[=<>+\-/%])
+      | (?P<star>\*)
+      | (?P<punctuation>[(),.])
+      | (?P<error>.)
+      | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_TYPES_BY_VALUE = {member.value: member for member in TokenType}
+
+#: A scanned token: (TokenType value, canonical text, position).
+ScannedToken = tuple[str, str, int]
+
+
+def scan(sql: str) -> list[ScannedToken] | None:
+    """The tokens of ``sql`` as plain tuples, or None if the scanner cannot decide.
+
+    None means "ask :func:`tokenize_reference`": the input is not ASCII or
+    is malformed somewhere.  No EOF token is produced.
+    """
+    if not sql.isascii():
+        return None
+    tokens: list[ScannedToken] = []
+    append = tokens.append
+    for match in _SCANNER.finditer(sql):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        text = match[kind]
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(("keyword", upper, match.start(kind)))
+            else:
+                append(("identifier", text, match.start(kind)))
+        elif kind == "string":
+            append(("string", text.replace("''", "'"), match.start(kind) - 1))
+        elif kind == "quoted":
+            append(("identifier", text, match.start(kind) - 1))
+        elif kind == "error":
+            return None
+        else:
+            append((kind, text, match.start(kind)))
+    return tokens
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` into a list of tokens terminated by an EOF token.
+
+    Equal to :func:`tokenize_reference`, errors included.
+
+    Raises
+    ------
+    SqlSyntaxError
+        If an unexpected character or an unterminated string literal is
+        encountered.
+    """
+    scanned = scan(sql)
+    if scanned is None:
+        return tokenize_reference(sql)
+    tokens = [Token(_TYPES_BY_VALUE[kind], text, position) for kind, text, position in scanned]
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
+    return tokens
+
+
+def tokenize_reference(sql: str) -> list[Token]:
+    """Tokenize ``sql`` one character at a time (the oracle of :func:`tokenize`).
 
     Raises
     ------
@@ -138,7 +229,7 @@ def tokenize(sql: str) -> list[Token]:
             pos += len(tokens[-1].value) + 2 + tokens[-1].value.count("'")
             continue
 
-        if char.isdigit() or (char == "." and pos + 1 < length and sql[pos + 1].isdigit()):
+        if char.isdecimal() or (char == "." and pos + 1 < length and sql[pos + 1].isdecimal()):
             token = _lex_number(sql, pos)
             tokens.append(token)
             pos += len(token.value)
@@ -222,7 +313,7 @@ def _lex_number(sql: str, start: int) -> Token:
     seen_dot = False
     while pos < len(sql):
         char = sql[pos]
-        if char.isdigit():
+        if char.isdecimal():
             pos += 1
         elif char == "." and not seen_dot:
             seen_dot = True

@@ -8,12 +8,18 @@ to cipher-text tokens *bijectively per token kind*.
 
 Tokens are represented as ``(kind, text)`` pairs so that an identifier ``x``
 and a string literal ``'x'`` never collide.
+
+:func:`query_token_set` builds the set straight from the lexer's compiled
+scanner, without :class:`~repro.sql.lexer.Token` objects; it equals
+``token_stream_to_set(tokenize_reference(sql))``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.sql.ast import Query
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, scan, tokenize_reference
 from repro.sql.render import render_query
 
 #: A token as used by the token-based distance: (kind, canonical text).
@@ -33,20 +39,25 @@ def token_stream_to_set(tokens: list[Token]) -> frozenset[QueryToken]:
     giving it its own kind keeps it from ever colliding with a constant of
     the same spelling.
     """
-    result = set()
-    previous_keyword: str | None = None
-    for token in tokens:
-        if token.type is TokenType.EOF:
-            continue
-        if token.type is TokenType.NUMBER and previous_keyword == "LIMIT":
-            result.add(("limit", token.value))
-        else:
-            result.add((token.type.value, token.value))
-        previous_keyword = token.value if token.type is TokenType.KEYWORD else None
-    return frozenset(result)
+    return _token_set(
+        (token.type.value, token.value) for token in tokens if token.type is not TokenType.EOF
+    )
 
 
 def query_token_set(query: Query | str) -> frozenset[QueryToken]:
     """Return the token set of a query (given as AST or SQL text)."""
     sql = query if isinstance(query, str) else render_query(query)
-    return token_stream_to_set(tokenize(sql))
+    scanned = scan(sql)
+    if scanned is None:
+        return token_stream_to_set(tokenize_reference(sql))
+    return _token_set((kind, text) for kind, text, _ in scanned)
+
+
+def _token_set(pairs: Iterable[QueryToken]) -> frozenset[QueryToken]:
+    """The set of ``(kind, text)`` pairs, a number right after ``LIMIT`` re-kinded."""
+    result = set()
+    after_limit = False
+    for kind, text in pairs:
+        result.add(("limit", text) if after_limit and kind == "number" else (kind, text))
+        after_limit = kind == "keyword" and text == "LIMIT"
+    return frozenset(result)

@@ -87,6 +87,17 @@ class TestRealColumnsAndScaling:
         decrypted = proxy.decrypt_result(proxy.execute(query))
         assert decrypted.rows == ((1,),)
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_integral_real_cells_decrypt_as_float(self, proxy, backend):
+        query = parse_query("SELECT item_id, price FROM items")
+        with proxy.session(backend=backend) as session:
+            (encrypted,) = session.run([query])
+        decrypted = proxy.decrypt_result(encrypted)
+        assert sorted(decrypted.rows) == [(1, 10.0), (2, 20.5), (3, None), (4, 5.0)]
+        prices = [price for _, price in decrypted.rows if price is not None]
+        assert [type(price) for price in prices] == [float, float, float]
+        assert all(type(item_id) is int for item_id, _ in decrypted.rows)
+
 
 class TestErrorPaths:
     def test_decrypt_result_for_unknown_aggregate(self, proxy):

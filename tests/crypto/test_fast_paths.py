@@ -4,15 +4,20 @@ The crypto layer's speedups (binomial + noise-pool Paillier encryption, CRT
 decryption, cached OPE descent) must be *invisible*: every fast path has a
 scalar ``*_reference`` oracle — the seed implementation — and these tests
 assert equivalence across random keys, messages (negative integers and
-fixed-point reals included) and adversarial OPE domains.
+fixed-point reals included), adversarial OPE domains and the DET memo.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import det as det_module
+from repro.crypto.det import DeterministicScheme
 from repro.crypto.hom import PaillierKeyPair, PaillierScheme
 from repro.crypto.keys import KeyChain, MasterKey
 from repro.crypto.ope import OrderPreservingScheme
@@ -181,3 +186,85 @@ class TestOpeCachedEqualsUncached:
         stats = ope.cache_stats()
         assert stats["evictions"] > 0
         assert stats["nodes"] <= 50
+
+
+def _det(label: str = "det-memo") -> DeterministicScheme:
+    return DeterministicScheme(KeyChain(MasterKey.from_passphrase(label)).key_for("det"))
+
+
+def _identifier_reference(det: DeterministicScheme, name: str) -> str:
+    """Identifier and value ciphertexts share their raw bytes."""
+    return "enc_" + det.encrypt_reference(name).removeprefix("det:")
+
+
+class TestDetMemoEqualsUncached:
+    """Memoized DET ≡ the uncached SIV construction, across flushes and threads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False),
+                st.text(max_size=12),
+            ),
+            max_size=12,
+        )
+    )
+    def test_memoized_matches_reference(self, values):
+        det = _det()
+        expected = [det.encrypt_reference(value) for value in values]
+        assert [det.encrypt(value) for value in values] == expected
+        assert det.encrypt_many(values) == expected
+        assert [det.decrypt(ciphertext) for ciphertext in expected] == values
+
+    def test_identifiers_match_reference_across_flushes(self, monkeypatch):
+        monkeypatch.setattr(det_module, "_MEMO_MAX_ENTRIES", 4)
+        det = _det("det-flush")
+        names = [f"column_{index % 11}" for index in range(40)]
+        expected = [_identifier_reference(det, name) for name in names]
+        assert [det.encrypt_identifier(name) for name in names] == expected
+        assert [det.encrypt(name) for name in names] == [
+            det.encrypt_reference(name) for name in names
+        ]
+        assert len(det._memo) <= 4
+        assert [det.decrypt_identifier(ciphertext) for ciphertext in expected] == names
+
+    def test_equal_sql_values_of_different_types_stay_distinct(self):
+        det = _det()
+        for _ in range(2):  # once filling the memo, once reading it
+            ciphertexts = [det.encrypt(value) for value in (1, 1.0, True, "1")]
+            assert len(set(ciphertexts)) == 4
+            assert ciphertexts == [det.encrypt_reference(v) for v in (1, 1.0, True, "1")]
+
+    def test_threads_sharing_an_instance_get_identical_ciphertexts(self, monkeypatch):
+        monkeypatch.setattr(det_module, "_MEMO_MAX_ENTRIES", 8)
+        det = _det("det-threads")
+        values = [f"v{index % 23}" for index in range(600)]
+        expected = [det.encrypt_reference(value) for value in values]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        results: list[list[str]] = [[] for _ in range(workers)]
+
+        def hammer(slot: int) -> None:
+            barrier.wait()
+            order = values if slot % 2 == 0 else values[::-1]
+            results[slot] = [det.encrypt(value) for value in order]
+
+        threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot in range(workers):
+            assert results[slot] == (expected if slot % 2 == 0 else expected[::-1])
+        # Racing flushes can overshoot the bound by at most one entry per thread.
+        assert len(det._memo) <= 8 + workers

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.api import EncryptedMiningService, QueryRejected, ServiceConfig
+from repro.core.schemes.token_scheme import TokenDpeScheme
+from repro.crypto.keys import KeyChain, MasterKey
 from repro.exceptions import SqlSyntaxError
-from repro.sql.lexer import KEYWORDS, Token, TokenType, tokenize
+from repro.sql.lexer import KEYWORDS, Token, TokenType, scan, tokenize, tokenize_reference
+from repro.sql.parser import parse_query
+from repro.sql.render import render_query
+from repro.sql.tokens import query_token_set, token_stream_to_set
+from repro.workloads.generator import QueryLogGenerator, WorkloadMix
+from repro.workloads.schemas import webshop_profile
 
 
 def kinds(sql: str) -> list[TokenType]:
@@ -127,3 +137,74 @@ class TestKeywordTable:
     def test_identifier_is_not_keyword_match(self):
         token = Token(TokenType.IDENTIFIER, "SELECTED", 0)
         assert not token.is_keyword("SELECT")
+
+
+class TestUnicodeDigits:
+    """Numbers are lexed from decimal digits only; ``²`` is a digit but not decimal."""
+
+    SQL = "SELECT a FROM t WHERE x = \u00b2"
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse_query(self.SQL)
+        assert excinfo.value.position == len(self.SQL) - 1
+
+    def test_service_rejects_the_query(self):
+        service = EncryptedMiningService(ServiceConfig())
+        with pytest.raises(QueryRejected):
+            service.mine([self.SQL, "SELECT a FROM t"])
+
+    def test_non_ascii_decimal_digits_lex_as_a_number(self):
+        assert values("SELECT \u0663\u0664") == ["SELECT", "\u0663\u0664"]
+
+
+def _outcome(function, sql):
+    """``function(sql)``, or the class, message and position of its syntax error."""
+    try:
+        return function(sql)
+    except SqlSyntaxError as error:
+        return (type(error), str(error), error.position)
+
+
+def _reference_token_set(sql):
+    return token_stream_to_set(tokenize_reference(sql))
+
+
+#: Pieces of SQL-ish text: quotes (single, doubled, double), dots, ASCII and
+#: non-ASCII digits and letters, operators, ``;`` and ASCII and non-ASCII
+#: whitespace, plus whole keywords (``LIMIT`` included) and identifiers.
+SQL_FRAGMENTS = (
+    list("'\".0123456789<>!=;*(),+-/%@?_aZq \t\n\x0c\x1c")
+    + ["''", "1.5", ".5", "5.", "SELECT", "select", "FROM", "WHERE", "LIMIT", "limit "]
+    + ["enc_3fa0", "det:9c", "x1", "\u00e9", "\u00df", "\u00b2", "\u0663", "\u00a0", "\u2003"]
+)
+
+
+class TestScannerMatchesReference:
+    """The compiled scanner equals the character loop on every input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(SQL_FRAGMENTS), max_size=40).map("".join))
+    @example("SELECT a FROM t WHERE s = 'it''s' LIMIT 5;")
+    @example("SELECT 'a''")
+    @example("SELECT 12. FROM t")
+    @example("SELECT 1.2.3, ..5 FROM t")
+    @example('SELECT "q\'d" FROM t  \x1c')
+    @example("SELECT na\u00efve FROM t")
+    def test_tokens_and_errors_agree(self, sql):
+        expected = _outcome(tokenize_reference, sql)
+        assert _outcome(tokenize, sql) == expected
+        assert _outcome(query_token_set, sql) == _outcome(_reference_token_set, sql)
+        if sql.isascii() and isinstance(expected, list):
+            # Valid ASCII input never falls back to the reference loop.
+            assert scan(sql) is not None
+
+    def test_plain_and_encrypted_webshop_log(self):
+        log = QueryLogGenerator(webshop_profile(), WorkloadMix(), seed=300).generate(300)
+        keychain = KeyChain(MasterKey.from_passphrase("scanner-differential"))
+        encrypted = TokenDpeScheme(keychain).encrypt_log(log)
+        sqls = [render_query(query) for query in log.queries + encrypted.queries]
+        for sql in sqls:
+            assert scan(sql) is not None
+            assert tokenize(sql) == tokenize_reference(sql)
+            assert query_token_set(sql) == _reference_token_set(sql)

@@ -38,6 +38,13 @@ class TestTokenSets:
         tokens = query_token_set("SELECT a FROM t WHERE b = 'a'")
         assert ("identifier", "a") in tokens and ("string", "a") in tokens
 
+    @pytest.mark.parametrize("name", ["a", "é"])  # scanner and reference-loop paths
+    def test_only_the_number_after_limit_has_the_limit_kind(self, name):
+        tokens = query_token_set(f"SELECT {name} FROM t WHERE {name} = 5 LIMIT 5")
+        assert ("limit", "5") in tokens and ("number", "5") in tokens
+        tokens = query_token_set(f"SELECT {name} FROM t WHERE {name} = 3 LIMIT 5")
+        assert ("number", "3") in tokens and ("number", "5") not in tokens
+
     def test_accepts_parsed_query(self):
         query = parse_query("SELECT a FROM t")
         assert query_token_set(query) == query_token_set("SELECT a FROM t")
